@@ -13,12 +13,26 @@ Two families are measured because they profit differently: ``xor`` has
 deep boundaries (one bit per hash), so the warm start cuts probes;
 ``prime`` re-asserts multiplier/modulo circuits per probe, so the
 ladder's delta-assertion avoids re-blasting whole circuits.
+
+The prime rows save no solver call, and that is expected: a prime hash
+splits the space into p cells (p the smallest prime above 2^slice
+width), not two, so every prime boundary here is 1 or 2.  The cold gallop (start 1) and the warm one (start = the
+previous boundary) then probe the same indices — {1, 2} when the
+boundary is 2, {1} when it is 1 — and make the same calls.  The bench
+asserts both facts; the prime rows' wall ratio measures only the
+ladder's re-assertion and retention savings.
+
+Wall-clock is measured in ``ROUNDS`` interleaved rounds per case (the
+arm that runs first alternates) and each arm keeps its best wall: load
+on a shared host only ever adds time, and alternation spreads drift and
+warm-up over both arms.
 """
 
 import time
 
 import pytest
 
+import repro.core.pact as pact_module
 from benchmarks.conftest import emit, emit_json
 from repro.benchgen.suite import build_suite
 from repro.core import PactConfig, pact_count
@@ -32,6 +46,7 @@ TIMEOUT = 120
 # (instances whose projected space is small count exactly and never
 # hash — the incremental layer is not in play).
 NOISE_FLOOR = 0.05
+ROUNDS = 3
 _rows = []
 _speedups = []
 _totals = {"rebuild": 0, "ladder": 0}
@@ -57,20 +72,54 @@ def _measure(assertions, projection, family, incremental):
 
 
 @pytest.mark.parametrize("case", _cases(), ids=lambda case: case[0])
-def test_incremental_vs_rebuild(benchmark, case):
+def test_incremental_vs_rebuild(benchmark, monkeypatch, case):
     name, family, assertions, projection = case
+    # (start, boundary, probed indices) of every boundary search in
+    # each arm's first round
+    searches = {False: [], True: []}
+    find_boundary = pact_module.find_boundary
+    recording_arm = [None]
 
-    def both():
-        rebuild = _measure(assertions, projection, family, False)
-        ladder = _measure(assertions, projection, family, True)
-        return rebuild, ladder
+    def recording(count_at, start, max_index):
+        index, cell_count, cache = find_boundary(count_at, start,
+                                                 max_index)
+        if recording_arm[0] is not None:
+            searches[recording_arm[0]].append(
+                (start, index, sorted(i for i in cache if i)))
+        return index, cell_count, cache
+
+    monkeypatch.setattr(pact_module, "find_boundary", recording)
+
+    def rounds():
+        results, walls = {}, {False: [], True: []}
+        for round_index in range(ROUNDS):
+            order = (False, True) if round_index % 2 == 0 else (True,
+                                                                False)
+            for incremental in order:
+                recording_arm[0] = None if round_index else incremental
+                result, wall = _measure(assertions, projection, family,
+                                        incremental)
+                walls[incremental].append(wall)
+                first = results.setdefault(incremental, result)
+                # every round repeats the same seed-pure work
+                assert result.estimates == first.estimates
+                assert result.solver_calls == first.solver_calls
+        return ((results[False], min(walls[False])),
+                (results[True], min(walls[True])))
 
     (rebuild, rebuild_wall), (ladder, ladder_wall) = benchmark.pedantic(
-        both, rounds=1, iterations=1)
+        rounds, rounds=1, iterations=1)
     assert rebuild.solved and ladder.solved
     # The determinism contract: ladder + warm start + retention never
     # change per-iteration estimates.
     assert ladder.estimates == rebuild.estimates
+    if family == "prime":
+        # Boundaries 1 or 2: cold and warm gallops probe the same
+        # indices, so the ladder cannot save a call (module docstring).
+        assert all(index in (1, 2) for _, index, _ in searches[True])
+        assert ([probed for *_, probed in searches[False]]
+                == [probed for *_, probed in searches[True]])
+        assert ladder.solver_calls == rebuild.solver_calls
     _totals["rebuild"] += rebuild.solver_calls
     _totals["ladder"] += ladder.solver_calls
     speedup = rebuild_wall / max(ladder_wall, 1e-9)
@@ -92,7 +141,8 @@ def test_incremental_report(results_dir):
         _rows,
         title=("Section III-F: incremental ladder + learnt retention + "
                f"warm start vs rebuild (numIt={ITERATIONS}, "
-               f"seed={SEED})"))
+               f"seed={SEED}; best wall of {ROUNDS} interleaved "
+               "rounds)"))
     summary = (
         f"total solver calls: {_totals['rebuild']} -> {_totals['ladder']}"
         f" ({100 * (1 - _totals['ladder'] / max(1, _totals['rebuild'])):.0f}%"

@@ -17,6 +17,7 @@ percentiles) and ``BENCH_serve.json`` (machine-readable metrics).
 
 import asyncio
 import json
+import threading
 import time
 
 from benchmarks.conftest import emit, emit_json
@@ -190,24 +191,40 @@ def test_repeat_workload_hits_the_store(tmp_path):
 
 
 def test_overload_sheds_load_with_429(tmp_path):
-    """Phase 3: a tiny queue sheds the excess with 429 + Retry-After."""
+    """Phase 3: a tiny queue sheds the excess with 429 + Retry-After.
+
+    The single worker is held on a latch until every POST has its
+    status, so the queue fills however fast a count runs: whether the
+    excess is shed must not depend on the worker falling behind.
+    """
     async def scenario():
         session = Session(cache_dir=tmp_path / "serve-bench.sqlite")
+        latch = threading.Event()
+        count = session.count
+
+        def latched_count(*args, **kwargs):
+            latch.wait(timeout=120)
+            return count(*args, **kwargs)
+
+        session.count = latched_count
         service = CountingService(session, ServeConfig(
             port=0, workers=1, queue_depth=4, high_watermark=2))
         await service.start()
         try:
             accepted, rejected, retry_hints = 0, 0, []
-            for n in range(15):
-                status, headers, _ = await _post(
-                    service, "/count",
-                    {**BODY, "seed": 1000 + n, "mode": "async"})
-                if status == 202:
-                    accepted += 1
-                else:
-                    assert status == 429
-                    retry_hints.append(int(headers["retry-after"]))
-                    rejected += 1
+            try:
+                for n in range(15):
+                    status, headers, _ = await _post(
+                        service, "/count",
+                        {**BODY, "seed": 1000 + n, "mode": "async"})
+                    if status == 202:
+                        accepted += 1
+                    else:
+                        assert status == 429
+                        retry_hints.append(int(headers["retry-after"]))
+                        rejected += 1
+            finally:
+                latch.set()
             await _drain(service)
             summary = await service.shutdown(drain_timeout=5.0)
             return accepted, rejected, retry_hints, summary

@@ -4,6 +4,9 @@ Enumerates solutions of the formula in the solver's current frame,
 projected onto S, by blocking each projected model, until either the
 threshold is reached (the cell is *saturated*, returned as
 :data:`SATURATED`) or the cell is exhausted (exact cell count returned).
+Each blocking clause backjumps instead of restarting the search
+(:meth:`repro.smt.solver.SmtSolver.block_model`), so a model costs only
+the search its blocking clause forces.
 
 Blocking clauses are confined to a nested frame so the cell's parent
 formula is untouched afterwards — this is pact's incremental-solving
@@ -72,24 +75,17 @@ def saturating_count(solver: SmtSolver, projection: list[Term],
                      calls: CallCounter):
     """Count projected solutions in the current frame, saturating at
     ``thresh``.  Returns an int < thresh, or :data:`SATURATED`."""
-    bits_of = [solver.ensure_bits(var) for var in projection]
+    bits = [lit for var in projection for lit in solver.ensure_bits(var)]
     solver.push()
     try:
-        count = 0
-        while count < thresh:
+        for count in range(thresh):
             deadline.check()
             is_sat = solver.check(deadline)
             calls.record(is_sat)
             if not is_sat:
                 return count
-            count += 1
-            blocking = []
-            for var, bits in zip(projection, bits_of):
-                value = solver.bv_value(var)
-                for position, literal in enumerate(bits):
-                    blocking.append(
-                        -literal if (value >> position) & 1 else literal)
-            solver.add_clause_lits(blocking)
+            if count + 1 < thresh:
+                solver.block_model(bits)
         return SATURATED
     finally:
         solver.pop()

@@ -36,7 +36,7 @@ def exact_count(assertions, projection: list[Term],
         deadline = Deadline(timeout)
     solver = SmtSolver()
     solver.assert_all(assertions)
-    bits_of = [solver.ensure_bits(var) for var in projection]
+    bits = [lit for var in projection for lit in solver.ensure_bits(var)]
     count = 0
     calls = 0
     try:
@@ -56,13 +56,7 @@ def exact_count(assertions, projection: list[Term],
                     f"at least {count} projected solutions "
                     f"(limit {limit} tripped; partial enumeration "
                     f"is a lower bound, not an estimate)")
-            blocking = []
-            for var, bits in zip(projection, bits_of):
-                value = solver.bv_value(var)
-                for position, literal in enumerate(bits):
-                    blocking.append(
-                        -literal if (value >> position) & 1 else literal)
-            solver.add_clause_lits(blocking)
+            solver.block_model(bits)
     except SolverTimeoutError:
         return CountResult(
             estimate=None, status=Status.TIMEOUT, solver_calls=calls,

@@ -827,6 +827,11 @@ class PropagationKernel:
         self._cla_decay = 1.0 / 0.999
         self._frames: list[_Frame] = []
         self._ok = True
+        # Set by add_blocking_clause: the next solve() continues from
+        # the backjumped trail instead of restarting at level 0.  Every
+        # backtrack clears it, so any other mutation (add_clause,
+        # add_xor, push, pop, snapshot) falls back to the level-0 path.
+        self._resume = False
         self._max_learnts = 4000.0
         self.retain_learnts = True
         # Search-policy switches (threaded from PactConfig; the legacy
@@ -930,6 +935,53 @@ class PropagationKernel:
         clause = Clause(simplified, dep=len(self._frames))
         self._clauses.append(clause)
         self._watch_clause(clause)
+        return True
+
+    def add_blocking_clause(self, lits: Iterable[int]) -> bool:
+        """Add a clause the current assignment falsifies, keeping the trail.
+
+        The all-solutions fast path (Toda & Soh, JEA 2016): instead of
+        backtracking to level 0 like :meth:`add_clause`, backjump to the
+        clause's asserting level — the second-highest decision level
+        among its literals — and assert the highest-level literal with
+        the clause as its reason.  When the two highest literals share
+        a level, backjump one level below it and assert nothing.  The
+        next :meth:`CdclDriver.solve` resumes from that trail.
+
+        Duplicate literals and literals false at level 0 are dropped as
+        in :meth:`add_clause`; when every literal is false at level 0
+        the formula in the current frame is unsatisfiable.  A clause
+        with a literal that is not false (no model on the trail) takes
+        the :meth:`add_clause` path.  Returns False if the solver is
+        (or becomes) inconsistent.
+        """
+        lits = list(lits)
+        if any(self.value(lit) != FALSE for lit in lits):
+            return self.add_clause(lits)
+        if not self._ok:
+            return False
+        level = self._level
+        kept = sorted({lit for lit in lits if level[abs(lit)] > 0},
+                      key=lambda lit: (-level[abs(lit)], abs(lit)))
+        if not kept:
+            self._backtrack(0)
+            self._ok = False
+            return False
+        if len(kept) == 1:
+            self._backtrack(0)
+            self._enqueue(kept[0], None)
+        else:
+            top = level[abs(kept[0])]
+            second = level[abs(kept[1])]
+            clause = Clause(kept, dep=len(self._frames))
+            self._clauses.append(clause)
+            self._watch_clause(clause)
+            if top == second:
+                self._backtrack(top - 1)
+            else:
+                self._backtrack(second)
+                self._enqueue(kept[0], clause)
+        self._resume = True
         return True
 
     def add_xor(self, variables: list[int], rhs: bool) -> bool:
@@ -1161,6 +1213,7 @@ class PropagationKernel:
         heapq.heappush(self._order_heap, (-self._activity[var], var))
 
     def _backtrack(self, level: int) -> None:
+        self._resume = False
         if len(self._trail_lim) <= level:
             return
         bound = self._trail_lim[level]
@@ -1598,14 +1651,19 @@ class CdclDriver(PropagationKernel):
         deadline.check()
         if not self._ok:
             return False
-        self._backtrack(0)
-        if not self.xor.eliminate_root():
-            self._ok = False
-            return False
-        self._qhead = 0  # re-propagate: frames may have changed the DB
-        if self._propagate() is not None:
-            self._ok = False
-            return False
+        if self._resume:
+            # add_blocking_clause left a propagated prefix plus the
+            # flipped literal on the trail: search on from there.
+            self._resume = False
+        else:
+            self._backtrack(0)
+            if not self.xor.eliminate_root():
+                self._ok = False
+                return False
+            self._qhead = 0  # re-propagate: frames may have changed the DB
+            if self._propagate() is not None:
+                self._ok = False
+                return False
         conflicts_total = 0
         restart_count = 0
         glucose = self.restart_policy == "glucose"

@@ -175,8 +175,21 @@ class SmtSolver:
         self.sat.add_xor(variables, parity)
 
     def add_clause_lits(self, literals: list[int]) -> None:
-        """Add a raw clause over SAT literals (blocking clauses)."""
+        """Add a raw clause over SAT literals."""
         self.sat.add_clause(literals)
+
+    def block_model(self, bits: list[int]) -> None:
+        """Block the current model's values of ``bits`` (SAT literals,
+        typically the flattened :meth:`ensure_bits` of the projection).
+
+        The clause "some bit differs" goes in without backtracking to
+        level 0: the SAT core backjumps to the clause's asserting level
+        and the next :meth:`check` resumes the search from there
+        (:meth:`repro.sat.kernel.PropagationKernel.add_blocking_clause`).
+        """
+        model_value = self.sat.model_value
+        self.sat.add_blocking_clause(
+            [-lit if model_value(lit) else lit for lit in bits])
 
     # ------------------------------------------------------------------
     # solving

@@ -14,6 +14,7 @@ overloaded for the unambiguous cases (``x + y``, ``x & y``, ``~x``, ...).
 from __future__ import annotations
 
 import threading
+import weakref
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -24,7 +25,12 @@ from repro.smt.sorts import (
     FunctionSort, FunctionSortClass, RealSort, Sort,
 )
 
-_interned: dict[tuple, "Term"] = {}
+# Weak values: a term no live structure references leaves the table, so
+# a long-running process (``pact serve``) does not keep every term it
+# ever built.  Keys hold child ``term_id``s, which are never reused, so
+# a dead entry can never be confused with a live term.
+_interned: "weakref.WeakValueDictionary[tuple, Term]" = (
+    weakref.WeakValueDictionary())
 _intern_lock = threading.Lock()
 _next_id = [0]
 
@@ -214,7 +220,7 @@ def _mk(op: str, args: tuple[Term, ...], sort: Sort, payload=None,
 
 
 def term_count() -> int:
-    """Number of distinct interned terms (diagnostics)."""
+    """Number of distinct live interned terms (diagnostics)."""
     return len(_interned)
 
 

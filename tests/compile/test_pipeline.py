@@ -5,6 +5,7 @@ import pytest
 
 from repro.benchgen.suite import build_suite
 from repro.compile import CompiledProblem, compile_problem
+from repro.compile.simplify import run_stages
 from repro.core.cells import CallCounter, saturating_count
 from repro.core.enumerate import exact_count
 from repro.sat.dimacs import load_solver, parse_dimacs_document
@@ -44,18 +45,45 @@ class TestCountingEquivalence:
         legacy = exact_count(assertions, [x]).estimate
         assert _exact_via(artifact) == legacy == 41
 
-    def test_variable_numbering_stable_across_modes(self):
-        # Simplification may only remove/rewrite clauses, never
-        # deallocate variables: later allocations (hash gates, blocking
-        # frames) must number identically with the knob on or off.
-        instance = _instances()[0]
-        on = compile_problem(instance.assertions, instance.projection,
-                             simplify=True, digest="t")
-        off = compile_problem(instance.assertions, instance.projection,
-                              simplify=False, digest="t")
-        assert on.num_vars == off.num_vars
-        assert on.projection_bits == off.projection_bits
-        assert on.true_lit == off.true_lit
+    def test_compaction_keeps_positions_support_and_answers(self):
+        # A simplified artifact is renumbered densely over the variables
+        # its clauses and XOR rows still use, plus the protected ones;
+        # the projection positions, the support and every answer stay.
+        for instance in _instances():
+            on = compile_problem(instance.assertions, instance.projection,
+                                 simplify=True, digest="t")
+            off = compile_problem(instance.assertions, instance.projection,
+                                  simplify=False, digest="t")
+            protected = {abs(lit) for lit in on.flat_bits}
+            protected.update(abs(lit) for _atom, lit in on.atoms)
+            protected.add(abs(on.true_lit))
+            used = set(protected)
+            for clause in on.snapshot.clauses:
+                used.update(abs(lit) for lit in clause)
+            for variables, _rhs in on.snapshot.xors:
+                used.update(variables)
+            assert used == set(range(1, on.num_vars + 1))
+            assert {abs(lit) for lit in on.snapshot.units} <= used
+            # flat-bit positions: same projection, same shape, and the
+            # renumbering is monotone with polarity kept
+            assert on.projection == off.projection
+            assert ([len(bits) for bits in on.projection_bits]
+                    == [len(bits) for bits in off.projection_bits])
+            pairs = list(zip(on.flat_bits, off.flat_bits))
+            assert all((a > 0) == (b > 0) for a, b in pairs)
+            for a, b in pairs:
+                for c, d in pairs:
+                    assert (abs(a) < abs(c)) == (abs(b) < abs(d))
+            # support: what the simplifier reports before renumbering
+            frozen = {abs(lit) for lit in off.flat_bits}
+            frozen.update(abs(lit) for _atom, lit in off.atoms)
+            frozen.add(abs(off.true_lit))
+            _snapshot, support = run_stages(off.snapshot, frozen,
+                                            off.flat_bits)
+            assert on.support == support
+            # answers
+            assert (_exact_via(on) == _exact_via(off)
+                    == instance.known_count)
 
 
 class TestArtifactStructure:

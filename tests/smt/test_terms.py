@@ -1,5 +1,6 @@
 """Term layer tests: interning, sort checking, operator overloads."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from repro.smt import (
     array_var, apply_uf, uf,
 )
 from repro.smt.sorts import ArraySort
+from repro.smt.terms import term_count
 
 
 class TestSorts:
@@ -60,6 +62,24 @@ class TestInterning:
         x = bv_var("x", 8)
         assert bv_extract(x, 3, 0) is not bv_extract(x, 4, 0)
         assert bv_extract(x, 3, 0) is bv_extract(x, 3, 0)
+
+    def test_unreferenced_terms_leave_the_table(self):
+        gc.collect()
+        before = term_count()
+        x = bv_var("weak_x", 8)
+        terms = [bv_add(x, bv_val(k, 8)) for k in range(40)]
+        assert term_count() > before + 40
+        del x, terms
+        gc.collect()
+        assert term_count() == before
+
+    def test_rebuilt_term_is_interned_again(self):
+        x_id = bv_var("weak_y", 8).term_id
+        gc.collect()
+        x = bv_var("weak_y", 8)
+        assert x.term_id != x_id  # the first one died with its last reference
+        assert bv_add(x, x) is bv_add(x, x)
+        assert bv_var("weak_y", 8) is x
 
 
 class TestSortChecking:
